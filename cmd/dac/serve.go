@@ -17,6 +17,14 @@ import (
 	"repro/internal/serve"
 )
 
+// dacd's connection timeouts: a client gets serveReadHeaderTimeout to
+// send its request headers (so slow-header connections can't pile up),
+// and an idle keep-alive connection closes after serveIdleTimeout.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
 // cmdServe runs dacd, the long-lived tuning daemon: an HTTP JSON API
 // over the pipeline with durable, resumable jobs and a versioned model
 // registry (see DESIGN.md §10). The bound address is printed to stdout
@@ -115,7 +123,11 @@ func cmdServe(args []string) error {
 	}
 	fmt.Printf("dacd listening on %s (data: %s, %d workers%s)\n", bound, *data, *workers, mode)
 
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 

@@ -7,11 +7,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/conf"
@@ -202,75 +202,11 @@ func (t *Tuner) TrainingSizesMB(minMB, maxMB float64) []float64 {
 
 // Collect runs the collecting component: NTrain executions with random
 // configurations spread across the given dataset sizes, gathered into a
-// training set. Executions run concurrently; results are deterministic in
-// (Seed, Exec) because each row's configuration and size are fixed up
-// front.
+// training set. It is CollectResumable with no hooks: executions run
+// concurrently, and results are deterministic in (Seed, Exec) because
+// each row's configuration and size are fixed up front.
 func (t *Tuner) Collect(sizesMB []float64) (*dataset.Set, Overhead, error) {
-	sp := t.Obs.StartSpan("collect")
-	defer sp.End()
-	return t.collect(sizesMB)
-}
-
-func (t *Tuner) collect(sizesMB []float64) (*dataset.Set, Overhead, error) {
-	opt := t.Opt.withDefaults()
-	if len(sizesMB) == 0 {
-		return nil, Overhead{}, fmt.Errorf("core: no dataset sizes")
-	}
-	jobs := t.CollectJobs(sizesMB)
-	times := make([]float64, len(jobs))
-	t.runJobs(jobs, times, opt.Parallelism)
-
-	set := dataset.NewSet(t.Space)
-	var clusterSec float64
-	for i, j := range jobs {
-		if times[i] <= 0 || math.IsNaN(times[i]) || math.IsInf(times[i], 0) {
-			return nil, Overhead{}, fmt.Errorf("core: execution %d returned time %v", i, times[i])
-		}
-		set.Add(j.Cfg, j.DsizeMB, times[i])
-		clusterSec += times[i]
-	}
-	t.Obs.Counter("core.collect.jobs").Add(int64(len(jobs)))
-	t.Obs.Float("core.collect.cluster.sec").Add(clusterSec)
-	return set, Overhead{CollectClusterHours: clusterSec / 3600}, nil
-}
-
-// runJobs executes jobs concurrently, writing each job's time into times
-// at the job's index. The jobs are split into one contiguous chunk per
-// worker — not one goroutine per job, which for the paper's budget meant
-// a 2000-goroutine spawn — and an executor that implements BatchExecutor
-// receives its whole chunk as a single ExecuteBatch call, amortizing
-// per-run setup across it ("core.collect.batches" counts those calls,
-// and each is timed under the "core.collect.batch" span). Results land
-// by position either way, so the collected set — and any CSV written
-// from it — is byte-identical across executor kinds, worker counts, and
-// GOMAXPROCS.
-func (t *Tuner) runJobs(jobs []Job, times []float64, workers int) {
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	be, batched := t.Exec.(BatchExecutor)
-	var wg sync.WaitGroup
-	for c := 0; c < workers; c++ {
-		lo, hi := c*len(jobs)/workers, (c+1)*len(jobs)/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			if batched {
-				sp := t.Obs.StartSpan("core.collect.batch")
-				copy(times[lo:hi], be.ExecuteBatch(jobs[lo:hi]))
-				sp.End()
-				t.Obs.Counter("core.collect.batches").Inc()
-				return
-			}
-			for i := lo; i < hi; i++ {
-				times[i] = t.Exec.Execute(jobs[i].Cfg, jobs[i].DsizeMB)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	return t.CollectResumable(context.Background(), sizesMB, CollectHooks{})
 }
 
 // Model trains the HM performance model over the collected set.
@@ -450,7 +386,7 @@ func (t *Tuner) Tune(minMB, maxMB float64, targetsMB []float64) (*TuneResult, er
 
 	sizes := t.TrainingSizesMB(minMB, maxMB)
 	cs := root.Child("collect")
-	set, ovC, err := t.collect(sizes)
+	set, ovC, err := t.collect(context.Background(), sizes, CollectHooks{})
 	cs.End()
 	if err != nil {
 		return nil, err
@@ -581,7 +517,7 @@ func (t *RFHOCTuner) Tune(minMB, maxMB float64) (conf.Config, error) {
 	inner := &Tuner{Space: t.Space, Exec: t.Exec, Opt: t.Opt, Obs: t.Obs}
 	sizes := inner.TrainingSizesMB(minMB, maxMB)
 	cs := root.Child("collect")
-	set, _, err := inner.collect(sizes)
+	set, _, err := inner.collect(context.Background(), sizes, CollectHooks{})
 	cs.End()
 	if err != nil {
 		return conf.Config{}, err

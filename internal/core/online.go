@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -204,18 +203,17 @@ func (t *Tuner) TuneOnline(ctx context.Context, minMB, maxMB, targetMB float64, 
 	jobs := screens.CollectJobs(sizes)
 
 	cs := root.Child("screen")
-	screenTimes, err := t.runOnlineRows(ctx, 0, jobs, "screen", hooks, opt.Parallelism)
+	screenTimes, err := t.runOnlineRows(ctx, 0, jobs, "screen", hooks)
 	cs.End()
 	if err != nil {
 		return nil, err
 	}
+	set := dataset.NewSet(t.Space)
+	if _, err := addRows(set, 0, jobs, timesAt(screenTimes)); err != nil {
+		return nil, err
+	}
 	allJobs := append([]Job(nil), jobs...)
 	allTimes := append([]float64(nil), screenTimes...)
-
-	set := dataset.NewSet(t.Space)
-	for i, j := range jobs {
-		set.Add(j.Cfg, j.DsizeMB, screenTimes[i])
-	}
 
 	ms := root.Child("model")
 	m, ovM, err := t.model(set)
@@ -278,14 +276,16 @@ func (t *Tuner) TuneOnline(ctx context.Context, minMB, maxMB, targetMB float64, 
 			cjobs[i] = Job{Cfg: c, DsizeMB: targetMB}
 		}
 		is := root.Child("iterate")
-		candTimes, err := t.runOnlineRows(ctx, nextIndex, cjobs, "iterate", hooks, opt.Parallelism)
+		candTimes, err := t.runOnlineRows(ctx, nextIndex, cjobs, "iterate", hooks)
 		is.End()
 		if err != nil {
 			return nil, err
 		}
+		if _, err := addRows(set, nextIndex, cjobs, timesAt(candTimes)); err != nil {
+			return nil, err
+		}
 		nextIndex += len(cjobs)
 		for i, cj := range cjobs {
-			set.Add(cj.Cfg, cj.DsizeMB, candTimes[i])
 			if candTimes[i] < bestMeasured {
 				bestMeasured = candTimes[i]
 				bestCfg = cj.Cfg
@@ -332,12 +332,14 @@ func (t *Tuner) TuneOnline(ctx context.Context, minMB, maxMB, targetMB float64, 
 
 	finalJob := []Job{{Cfg: srch.cfg, DsizeMB: targetMB}}
 	fs := root.Child("final")
-	finalTimes, err := t.runOnlineRows(ctx, nextIndex, finalJob, "final", hooks, opt.Parallelism)
+	finalTimes, err := t.runOnlineRows(ctx, nextIndex, finalJob, "final", hooks)
 	fs.End()
 	if err != nil {
 		return nil, err
 	}
-	set.Add(srch.cfg, targetMB, finalTimes[0])
+	if _, err := addRows(set, nextIndex, finalJob, timesAt(finalTimes)); err != nil {
+		return nil, err
+	}
 	allJobs = append(allJobs, finalJob...)
 	allTimes = append(allTimes, finalTimes...)
 	if finalTimes[0] < bestMeasured || !haveBest {
@@ -372,98 +374,26 @@ func (t *Tuner) TuneOnline(ctx context.Context, minMB, maxMB, targetMB float64, 
 }
 
 // runOnlineRows executes one index-contiguous block of rows starting at
-// global index base: rows with journaled times replay through
-// hooks.Known, the rest run in checkpoint-sized batches across the
-// worker pool with hooks.OnBatch observing each batch — the same
-// durability seams as CollectResumable, applied to the online
-// trajectory's adaptive batches.
-func (t *Tuner) runOnlineRows(ctx context.Context, base int, jobs []Job, phase string, hooks OnlineHooks, workers int) ([]float64, error) {
-	times := make([]float64, len(jobs))
-	fresh := make([]int, 0, len(jobs))
-	for i := range jobs {
-		if hooks.Known != nil {
-			if sec, ok := hooks.Known(base + i); ok {
-				times[i] = sec
-				continue
-			}
-		}
-		fresh = append(fresh, i)
+// global index base on the shared row runner: rows with journaled times
+// replay through hooks.Known, the rest run in onlineBatchRows batches
+// with hooks.OnBatch observing each batch — the same durability seams as
+// CollectResumable, applied to the online trajectory's adaptive batches.
+// The caller adds the returned times to its set through addRows, which
+// checks them.
+func (t *Tuner) runOnlineRows(ctx context.Context, base int, jobs []Job, phase string, hooks OnlineHooks) ([]float64, error) {
+	ch := CollectHooks{Known: hooks.Known, OnBatch: hooks.OnBatch, BatchRows: onlineBatchRows}
+	if hooks.Progress != nil {
+		ch.Progress = func(done, total int) { hooks.Progress(phase, done, total) }
 	}
-	known := len(jobs) - len(fresh)
+	times, known, err := t.runRows(ctx, base, jobs, ch)
 	if known > 0 {
 		t.Obs.Counter("core.online.resumed.rows").Add(int64(known))
 	}
-	var done atomic.Int64
-	done.Store(int64(known))
-	if hooks.Progress != nil {
-		hooks.Progress(phase, known, len(jobs))
+	if err != nil {
+		return nil, fmt.Errorf("core: online tuning interrupted: %w", err)
 	}
-
-	if len(fresh) > 0 {
-		batches := make(chan []int, (len(fresh)+onlineBatchRows-1)/onlineBatchRows)
-		for lo := 0; lo < len(fresh); lo += onlineBatchRows {
-			hi := lo + onlineBatchRows
-			if hi > len(fresh) {
-				hi = len(fresh)
-			}
-			batches <- fresh[lo:hi]
-		}
-		close(batches)
-		if workers > len(fresh) {
-			workers = len(fresh)
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		be, batched := t.Exec.(BatchExecutor)
-		var wg sync.WaitGroup
-		for c := 0; c < workers; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var jbuf []Job
-				for idx := range batches {
-					if ctx.Err() != nil {
-						return // abandon; completed batches are already journaled
-					}
-					jbuf = jbuf[:0]
-					for _, i := range idx {
-						jbuf = append(jbuf, jobs[i])
-					}
-					var sec []float64
-					if batched {
-						sec = be.ExecuteBatch(jbuf)
-					} else {
-						sec = make([]float64, len(jbuf))
-						for k, j := range jbuf {
-							sec[k] = t.Exec.Execute(j.Cfg, j.DsizeMB)
-						}
-					}
-					rows := make([]RowTime, len(idx))
-					for k, i := range idx {
-						times[i] = sec[k]
-						rows[k] = RowTime{Index: base + i, Job: jobs[i], TimeSec: sec[k]}
-					}
-					if hooks.OnBatch != nil {
-						hooks.OnBatch(rows)
-					}
-					n := done.Add(int64(len(idx)))
-					if hooks.Progress != nil {
-						hooks.Progress(phase, int(n), len(jobs))
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: online tuning interrupted: %w", err)
-		}
-		t.Obs.Counter("core.online.runs").Add(int64(len(fresh)))
-	}
-	for i, sec := range times {
-		if sec <= 0 || math.IsNaN(sec) || math.IsInf(sec, 0) {
-			return nil, fmt.Errorf("core: execution %d returned time %v", base+i, sec)
-		}
+	if fresh := len(jobs) - known; fresh > 0 {
+		t.Obs.Counter("core.online.runs").Add(int64(fresh))
 	}
 	return times, nil
 }

@@ -182,7 +182,8 @@ func (h *Histogram) Mean() float64 {
 
 // Quantile returns an upper-bound estimate of the q-quantile (0 <= q <= 1)
 // from the bucket counts: the bound of the bucket holding the q-th sample
-// (the exact max for the overflow bucket). Returns 0 when empty or nil.
+// (the exact max for the overflow bucket), clamped to [Min, Max] so an
+// estimate never leaves the observed range. Returns 0 when empty or nil.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
@@ -195,17 +196,15 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if rank < 1 {
 		rank = 1
 	}
+	lo, hi := h.Min(), h.Max()
 	var seen int64
-	for i := range h.counts {
+	for i := range h.bounds {
 		seen += h.counts[i].Load()
 		if seen >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Float64frombits(h.max.Load())
+			return math.Min(math.Max(h.bounds[i], lo), hi)
 		}
 	}
-	return math.Float64frombits(h.max.Load())
+	return hi
 }
 
 // Min and Max return the extreme observations (0 when empty or nil).

@@ -95,6 +95,29 @@ func TestHistogram(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("snapshot bucket counts sum to %d", n)
 	}
+
+	// Every value sits below its bucket's bound: the bound-based estimate
+	// must clamp to the observed range, so no quantile exceeds the max
+	// (or undercuts the min).
+	low := r.Histogram("low", []float64{1, 10, 100})
+	for _, v := range []float64{0.3, 0.5, 0.8047} {
+		low.Observe(v)
+	}
+	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+		if got := low.Quantile(q); got != 0.8047 {
+			t.Fatalf("below-bound q%v = %v, want the max 0.8047", q, got)
+		}
+	}
+	high := r.Histogram("high", []float64{1, 10, 100})
+	for _, v := range []float64{5, 6} {
+		high.Observe(v)
+	}
+	if got := high.Quantile(0.5); got != 6 {
+		t.Fatalf("p50 = %v, want the max 6", got)
+	}
+	if s := low.snapshot(); s.P50 > s.Max || s.P99 > s.Max {
+		t.Fatalf("snapshot quantiles above max: %+v", s)
+	}
 }
 
 func TestSpanTreeAggregates(t *testing.T) {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -72,19 +71,5 @@ func (m *Manager) collectFleet(ctx context.Context, id int64, t *core.Tuner, w *
 
 	// Build the set exactly as the local collector does: every row in
 	// index order, times from the journal.
-	set := dataset.NewSet(t.Space)
-	var clusterSec float64
-	for i, j := range jobs {
-		sec, ok := jl.Known(i)
-		if !ok {
-			return nil, core.Overhead{}, fmt.Errorf("serve: fleet sweep finished but row %d missing from journal", i)
-		}
-		if sec <= 0 || math.IsNaN(sec) || math.IsInf(sec, 0) {
-			return nil, core.Overhead{}, fmt.Errorf("serve: execution %d returned time %v", i, sec)
-		}
-		set.Add(j.Cfg, j.DsizeMB, sec)
-		clusterSec += sec
-	}
-	m.obs.Float("core.collect.cluster.sec").Add(clusterSec)
-	return set, core.Overhead{CollectClusterHours: clusterSec / 3600}, nil
+	return t.AssembleSet(jobs, jl.Known)
 }

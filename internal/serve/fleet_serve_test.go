@@ -70,8 +70,8 @@ func waitLive(t *testing.T, s *Server, n int) {
 // produces a CSV byte-identical to the single-process reference, at
 // GOMAXPROCS 1 and 4.
 func TestFleetCollectByteIdenticalAfterWorkerKill(t *testing.T) {
-	// Reference: the plain in-process collector at the same spec, the
-	// same wiring the daemon's local path uses.
+	// Reference: the serial oracle at the same spec, over the same
+	// simulator wiring the daemon uses.
 	tuner, _, sizes := testTuner(t, fleetSpec.NTrain, fleetSpec.Seed, 2)
 	want := collectCSV(t, tuner, sizes)
 

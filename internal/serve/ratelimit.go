@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -66,4 +67,10 @@ func (l *tokenLimiter) allow(key string, now time.Time) bool {
 		return true
 	}
 	return false
+}
+
+// retryAfterSec is the Retry-After a throttled caller gets: an empty
+// bucket holds a whole request slot again within 1/rps seconds.
+func (l *tokenLimiter) retryAfterSec() int {
+	return max(int(math.Ceil(1/l.rps)), 1)
 }

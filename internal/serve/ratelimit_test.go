@@ -74,6 +74,11 @@ func TestServeRateLimit429(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
+		// A throttled caller is told when to come back: at 1 request/s
+		// the bucket refills a slot within a second.
+		if got := resp.Header.Get("Retry-After"); (resp.StatusCode == http.StatusTooManyRequests) != (got == "1") {
+			t.Fatalf("status %d with Retry-After %q, want \"1\" exactly on 429", resp.StatusCode, got)
+		}
 		return resp.StatusCode
 	}
 

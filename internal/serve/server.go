@@ -3,6 +3,7 @@ package serve
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -177,6 +178,7 @@ func (s *Server) requireAuth(h http.Handler) http.Handler {
 		tok, _ := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 		if s.limiter != nil && !s.limiter.allow(tok, time.Now()) {
 			s.authThrottled.Inc()
+			w.Header().Set("Retry-After", strconv.Itoa(s.limiter.retryAfterSec()))
 			writeError(w, http.StatusTooManyRequests, fmt.Errorf("rate limit exceeded for this token"))
 			return
 		}
@@ -218,10 +220,30 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes caps a request body, the same limit the fleet protocol
+// puts on worker posts.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it answers the request itself — 413 for an oversized body,
+// 400 for a malformed one — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("decoding %s: %w", what, err))
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+	if !decodeBody(w, r, &spec, "job spec") {
 		return
 	}
 	id, deduped, err := s.manager.Submit(spec)
@@ -309,8 +331,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	name := r.PathValue("name")
 	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding predict request: %w", err))
+	if !decodeBody(w, r, &req, "predict request") {
 		return
 	}
 	if req.Vector != nil && len(req.Config) > 0 {

@@ -408,6 +408,19 @@ func TestHTTPValidation(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/models/none/predict", map[string]any{"dsize_mb": 10}, nil); code != http.StatusNotFound {
 		t.Fatalf("predict on missing model returned %d", code)
 	}
+	// Bodies past the 8 MiB cap are refused with 413 before they are
+	// fully read, on both decoding endpoints.
+	huge := append(append([]byte(`{"workload":"`), bytes.Repeat([]byte("x"), maxBodyBytes)...), `"}`...)
+	for _, path := range []string{"/jobs", "/models/none/predict"} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized body to %s returned %d, want 413", path, resp.StatusCode)
+		}
+	}
 	var jobs struct {
 		Jobs []Job `json:"jobs"`
 	}
