@@ -18,7 +18,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/rf"
 	"repro/internal/sparksim"
-	"repro/internal/tree"
 	"repro/internal/workloads"
 )
 
@@ -34,9 +33,8 @@ type benchResult struct {
 // the BENCH_model.json and BENCH_serve.json schemas. Speedups are only
 // comparable between runs whose env matches: the hm_fit and rf_fit
 // pairs parallelize across cores, so on a single-core runner their
-// speedup reflects only the batched-update wins, while ga_search,
-// predict_batch and tree_grow gain from cache locality and algorithmic
-// cuts regardless of core count.
+// speedup is close to 1, while ga_search and predict_batch gain from
+// cache locality and memoization regardless of core count.
 type benchEnv struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"numcpu"`
@@ -117,7 +115,7 @@ func benchSpaceModel(backendName string, trees int, window int, quick bool) (mod
 // phases of the machine from landing entirely on one side.
 const benchRounds = 3
 
-// runPair benchmarks the serial reference against the optimized path.
+// runPair benchmarks the serial path against the optimized one.
 func runPair(name string, serial, parallel func(b *testing.B)) benchResult {
 	best := func(r, prev int64) int64 {
 		if prev == 0 || r < prev {
@@ -139,10 +137,11 @@ func runPair(name string, serial, parallel func(b *testing.B)) benchResult {
 	return res
 }
 
-// cmdBench measures the serial reference paths against the batched,
-// parallel pipeline — the same pairs the package benchmarks cover
-// (BenchmarkHMFit, BenchmarkPredictBatch, BenchmarkGASearch,
-// BenchmarkTrainParallel) — and optionally writes BENCH_model.json.
+// cmdBench measures serial paths (one worker, per-row queries, no
+// memoization) against the batched, parallel pipeline — the same pairs
+// the package benchmarks cover (BenchmarkHMFit, BenchmarkPredictBatch,
+// BenchmarkGASearch, BenchmarkTrainParallel) — and optionally writes
+// BENCH_model.json.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	jsonPath := fs.String("json", "", "write results as JSON (e.g. BENCH_model.json)")
@@ -190,7 +189,6 @@ func cmdBench(args []string) error {
 		func(b *testing.B) {
 			opt := hmOpt
 			opt.Workers = 1
-			opt.NoBatch = true
 			for i := 0; i < b.N; i++ {
 				if _, err := hm.Train(hmDS, opt); err != nil {
 					b.Fatal(err)
@@ -202,30 +200,6 @@ func cmdBench(args []string) error {
 				if _, err := hm.Train(hmDS, hmOpt); err != nil {
 					b.Fatal(err)
 				}
-			}
-		}))
-
-	// tree_grow pairs the exact per-node histogram scan against the
-	// sibling-subtraction fast path on the same single-tree workload as
-	// BenchmarkGrowTC5: one boosting sub-model (tc=5) over the hm_fit
-	// design matrix. This is the inner loop hm executes nt times, so its
-	// speedup compounds directly into hm_fit.
-	treeBuilder := tree.NewBuilder(hmDS.Features)
-	treeIdx := make([]int, hmDS.Len())
-	for i := range treeIdx {
-		treeIdx[i] = i
-	}
-	rep.Results = append(rep.Results, runPair("tree_grow",
-		func(b *testing.B) {
-			opt := tree.Options{MaxSplits: 5, ExactHistograms: true}
-			for i := 0; i < b.N; i++ {
-				treeBuilder.Grow(hmDS.Targets, treeIdx, opt, nil)
-			}
-		},
-		func(b *testing.B) {
-			opt := tree.Options{MaxSplits: 5}
-			for i := 0; i < b.N; i++ {
-				treeBuilder.Grow(hmDS.Targets, treeIdx, opt, nil)
 			}
 		}))
 
@@ -275,10 +249,8 @@ func cmdBench(args []string) error {
 	rfDS := benchDataset(1000, 12, 3)
 	rep.Results = append(rep.Results, runPair("rf_fit",
 		func(b *testing.B) {
-			// The serial reference also runs the exact histogram scan, so
-			// the pair captures both the parallel-fit and fast-tree wins.
 			for i := 0; i < b.N; i++ {
-				if _, err := rf.Train(rfDS, rf.Options{Trees: rfTrees, Seed: 1, Workers: 1, ExactHistograms: true}); err != nil {
+				if _, err := rf.Train(rfDS, rf.Options{Trees: rfTrees, Seed: 1, Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,9 +3,12 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/conf"
 	"repro/internal/engine"
 	"repro/internal/sparksim"
@@ -38,30 +41,9 @@ func Validate(sc Scale) []ValidateRow {
 		panic(fmt.Sprintf("experiments: generating text: %v", err))
 	}
 	words := strings.Fields(text.String())
-	engineTime := func(cfg engine.Config) float64 {
-		// Median of three runs tames scheduler noise.
-		best := make([]float64, 0, 3)
-		for k := 0; k < 3; k++ {
-			ctx := engine.NewContext(cfg)
-			start := time.Now()
-			pairs := engine.MapToPairs(engine.Parallelize(ctx, words),
-				func(w string) (string, int) { return w, 1 })
-			counts, err := engine.ReduceByKey(pairs, func(a, b int) int { return a + b })
-			if err != nil {
-				panic(err)
-			}
-			if _, err := counts.Collect(); err != nil {
-				panic(err)
-			}
-			best = append(best, time.Since(start).Seconds())
-		}
-		if best[0] > best[1] {
-			best[0], best[1] = best[1], best[0]
-		}
-		if best[1] > best[2] {
-			best[1], best[2] = best[2], best[1]
-		}
-		return best[1]
+	wordCount := func(ctx *engine.Context) error {
+		_, err := apps.WordCount(ctx, words)
+		return err
 	}
 
 	// --- Simulator predictions (WordCount at cluster scale). ------------
@@ -81,16 +63,18 @@ func Validate(sc Scale) []ValidateRow {
 	// Knob 1: shuffle compression on a CPU-bound word count. Both
 	// systems must agree on the direction (at this ratio of compute to
 	// I/O it costs more CPU than the bytes it saves).
-	engOff := engineTime(engine.Config{Parallelism: 8})
-	engOn := engineTime(engine.Config{Parallelism: 8, CompressShuffle: true})
+	engRatio := engineRatio(engine.Config{Parallelism: 8},
+		engine.Config{Parallelism: 8, CompressShuffle: true}, wordCount)
 	simOff := simTime(func(c conf.Config) { c.SetBool(conf.ShuffleCompress, false) })
 	simOn := simTime(nil)
-	rows = append(rows, mkRow("shuffle compression on", engOn/engOff, simOn/simOff))
+	rows = append(rows, mkRow("shuffle compression on", engRatio, simOn/simOff))
 
 	// Knob 2: more task slots (engine workers / executor cores) must
-	// speed a CPU-bound job up in both systems.
-	engFew := engineTime(engine.Config{Parallelism: 8, Workers: 2})
-	engMany := engineTime(engine.Config{Parallelism: 8, Workers: 8})
+	// speed a CPU-bound job up in both systems. The engine side starts
+	// from a single slot: slots beyond the machine's cores add nothing, so
+	// a two-slot baseline would measure no change on a two-core machine.
+	engRatio = engineRatio(engine.Config{Parallelism: 8, Workers: 1},
+		engine.Config{Parallelism: 8, Workers: 8}, wordCount)
 	simFew := simTime(func(c conf.Config) {
 		c.Set(conf.ExecutorMemory, 8192)
 		c.Set(conf.ExecutorCores, 2)
@@ -99,39 +83,19 @@ func Validate(sc Scale) []ValidateRow {
 		c.Set(conf.ExecutorMemory, 8192)
 		c.Set(conf.ExecutorCores, 12)
 	})
-	rows = append(rows, mkRow("more task slots", engMany/engFew, simMany/simFew))
+	rows = append(rows, mkRow("more task slots", engRatio, simMany/simFew))
 
 	// Knob 3: starving the shuffle of memory (forcing spills) must slow
 	// both systems down. Word count's combined shuffle is too small to
 	// feel it, so this row sorts — the whole dataset crosses the shuffle.
-	sortTime := func(cfg engine.Config) float64 {
-		var tera bytes.Buffer
-		if _, err := workloads.GenTeraRecords(&tera, 120_000, 2); err != nil {
-			panic(err)
-		}
-		records := strings.Split(strings.TrimRight(tera.String(), "\n"), "\n")
-		best := make([]float64, 0, 3)
-		for k := 0; k < 3; k++ {
-			ctx := engine.NewContext(cfg)
-			start := time.Now()
-			pairs := engine.MapToPairs(engine.Parallelize(ctx, records),
-				func(r string) (string, string) { return r[:10], r[10:] })
-			sorted, err := engine.SortByKey(pairs, func(a, b string) bool { return a < b })
-			if err != nil {
-				panic(err)
-			}
-			if _, err := sorted.Collect(); err != nil {
-				panic(err)
-			}
-			best = append(best, time.Since(start).Seconds())
-		}
-		if best[0] > best[1] {
-			best[0], best[1] = best[1], best[0]
-		}
-		if best[1] > best[2] {
-			best[1], best[2] = best[2], best[1]
-		}
-		return best[1]
+	var tera bytes.Buffer
+	if _, err := workloads.GenTeraRecords(&tera, 120_000, 2); err != nil {
+		panic(err)
+	}
+	records := strings.Split(strings.TrimRight(tera.String(), "\n"), "\n")
+	teraSort := func(ctx *engine.Context) error {
+		_, err := apps.TeraSort(ctx, records)
+		return err
 	}
 	ts, _ := workloads.ByAbbr("TS")
 	tsTime := func(memMB float64) float64 {
@@ -140,12 +104,52 @@ func Validate(sc Scale) []ValidateRow {
 			Set(conf.DefaultParallelism, 50)
 		return sim.Run(&ts.Program, ts.InputMB(30), cfg).TotalSec
 	}
-	engAmple := sortTime(engine.Config{Parallelism: 8})
-	engTight := sortTime(engine.Config{Parallelism: 8, ShuffleMemoryMB: 1})
+	engRatio = engineRatio(engine.Config{Parallelism: 8},
+		engine.Config{Parallelism: 8, ShuffleMemoryMB: 1}, teraSort)
 	simRatio := tsTime(1024) / tsTime(8192)
-	rows = append(rows, mkRow("shuffle memory starved", engTight/engAmple, simRatio))
+	rows = append(rows, mkRow("shuffle memory starved", engRatio, simRatio))
 
 	return rows
+}
+
+// engineRatio returns time(after)/time(before) for job on the engine: the
+// median of three rounds, each timing one run under either configuration.
+// The rounds alternate which side runs first, so load that drifts across
+// the measurement (other processes, the previous run's garbage) lands on
+// both sides alike instead of on whichever configuration ran later.
+func engineRatio(before, after engine.Config, job func(*engine.Context) error) float64 {
+	var ratios [3]float64
+	for k := range ratios {
+		var b, a float64
+		if k%2 == 0 {
+			b = engineSeconds(before, job)
+			a = engineSeconds(after, job)
+		} else {
+			a = engineSeconds(after, job)
+			b = engineSeconds(before, job)
+		}
+		ratios[k] = a / b
+	}
+	return median3(ratios)
+}
+
+// engineSeconds times one run of job on a fresh engine context built from
+// cfg, starting from a collected heap.
+func engineSeconds(cfg engine.Config, job func(*engine.Context) error) float64 {
+	runtime.GC()
+	ctx := engine.NewContext(cfg)
+	start := time.Now()
+	if err := job(ctx); err != nil {
+		panic(err)
+	}
+	return time.Since(start).Seconds()
+}
+
+// median3 returns the middle value of v.
+func median3(v [3]float64) float64 {
+	s := v[:]
+	sort.Float64s(s)
+	return s[1]
 }
 
 func mkRow(knob string, engRatio, simRatio float64) ValidateRow {

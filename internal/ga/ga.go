@@ -58,9 +58,10 @@ type Options struct {
 	// passed to Minimize for whole-population scoring (the Objective may
 	// then be nil).
 	BatchObj BatchObjective
-	// Workers bounds concurrent objective evaluation (0 = GOMAXPROCS,
-	// 1 = serial). The search result is identical for any value; with
-	// Workers != 1 the objective must be safe for concurrent calls.
+	// Workers bounds concurrent objective evaluation (0 =
+	// min(GOMAXPROCS, NumCPU), 1 = serial). The search result is
+	// identical for any value; with Workers != 1 the objective must be
+	// safe for concurrent calls.
 	Workers int
 	// NoCache disables genome memoization. By default individuals that
 	// reappear — elites, duplicate children of converged populations —

@@ -2,7 +2,9 @@ package hm
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 )
@@ -36,40 +38,50 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestLegacySnapshotLoadsBitIdentically pins backward compatibility
-// with snapshots written before the fast histogram path existed: a
-// model trained under ExactHistograms grows byte-for-byte the same
-// trees the reference implementation always did, so its snapshot
-// stands in for a legacy v2 stream. It must load with bit-identical
-// predictions, and the loaded model must resume training on the new
-// fast path without error.
+// with snapshots written before the sibling-subtraction grower became
+// the only one. testdata/legacy_exact_v2.gob is a version-2 stream of a
+// model whose trees were grown by the exact per-node histogram scan
+// (synthDS(500, 43); 120-tree budget, lr 0.1, tc 5, seed 7). The JSON
+// beside it records, at the time the snapshot was written, the model's
+// predictions over 200 probes and its predictions after a 20-tree
+// Resume. The reloaded model must reproduce both bit-for-bit.
 func TestLegacySnapshotLoadsBitIdentically(t *testing.T) {
-	ds := synthDS(500, 43)
-	m, err := Train(ds, Options{Trees: 120, LearningRate: 0.1, TreeComplexity: 5,
-		Seed: 7, ExactHistograms: true})
+	raw, err := os.ReadFile("testdata/legacy_exact_v2.gob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
+	js, err := os.ReadFile("testdata/legacy_exact_v2_probes.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(44))
-	for k := 0; k < 200; k++ {
-		x := []float64{rng.Float64() * 10, rng.Float64() * 10, rng.Float64() * 10}
-		if a, b := m.Predict(x), back.Predict(x); a != b {
-			t.Fatalf("legacy-shape snapshot predicts differently after reload: %v != %v", a, b)
+	var rec struct {
+		Probes  [][]float64 `json:"probes"`
+		Pred    []float64   `json:"pred"`
+		Resumed []float64   `json:"resumed"`
+	}
+	if err := json.Unmarshal(js, &rec); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range rec.Probes {
+		if got := m.Predict(x); got != rec.Pred[i] {
+			t.Fatalf("probe %d: legacy snapshot predicts %v after load, recorded %v", i, got, rec.Pred[i])
 		}
 	}
-	// Resuming a legacy-shape model uses the fast path by default.
-	if err := Resume(back, ds, Options{Trees: 140, LearningRate: 0.1, TreeComplexity: 5, Seed: 7}, 20); err != nil {
+	before := m.NumTrees()
+	if err := Resume(m, synthDS(500, 43), Options{Trees: 140, LearningRate: 0.1, TreeComplexity: 5, Seed: 7}, 20); err != nil {
 		t.Fatal(err)
 	}
-	if back.NumTrees() <= m.NumTrees() {
-		t.Fatalf("resume grew no trees: %d -> %d", m.NumTrees(), back.NumTrees())
+	if m.NumTrees() <= before {
+		t.Fatalf("resume grew no trees: %d -> %d", before, m.NumTrees())
+	}
+	for i, x := range rec.Probes {
+		if got := m.Predict(x); got != rec.Resumed[i] {
+			t.Fatalf("probe %d: resumed legacy model predicts %v, recorded %v", i, got, rec.Resumed[i])
+		}
 	}
 }
 

@@ -102,13 +102,11 @@ func TestResumeLegacyV1Snapshot(t *testing.T) {
 }
 
 // TestResumeBinnedMatchesFloatReplay pins the replay paths against each
-// other on one model: NoBatch forces the float walk, which must leave a
-// model bit-identical to the binned replay.
+// other on one model: stripping the edges forces the float walk, which
+// must leave a model bit-identical to the binned replay.
 func TestResumeBinnedMatchesFloatReplay(t *testing.T) {
 	ds := synthDS(500, 95)
-	// ExactHistograms on both sides keeps tree growth identical (NoBatch
-	// implies it), so the comparison isolates the replay paths alone.
-	opt := Options{Trees: 80, LearningRate: 0.1, TreeComplexity: 5, Seed: 13, ExactHistograms: true}
+	opt := Options{Trees: 80, LearningRate: 0.1, TreeComplexity: 5, Seed: 13}
 	a, err := Train(ds, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -117,13 +115,18 @@ func TestResumeBinnedMatchesFloatReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b.edges = nil
+	reg := obs.NewRegistry()
 	optF := opt
-	optF.NoBatch = true
+	optF.Obs = reg
 	if err := Resume(a, ds, opt, 25); err != nil {
 		t.Fatal(err)
 	}
 	if err := Resume(b, ds, optF, 25); err != nil {
 		t.Fatal(err)
+	}
+	if n := reg.Counter("hm.resume.binned.trees").Value(); n != 0 {
+		t.Fatalf("edge-less model replayed %d trees through the binned path", n)
 	}
 	probe := synthDS(100, 96)
 	for i, x := range probe.Features {

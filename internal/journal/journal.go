@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,8 +41,9 @@ const magic = "dacj1"
 //
 // with timeSec in strconv 'g'/-1 form (round-trips exactly) and the CRC
 // over the line's first three fields. A torn tail — the partial last line
-// a SIGKILL can leave — fails its CRC or parse and is truncated away on
-// open; every fully synced record before it survives.
+// a SIGKILL can leave — lacks its newline or fails its CRC or parse, and
+// is truncated away on open; every fully synced record before it
+// survives.
 //
 // Records normally land in completion order. Compact rewrites the file
 // in global row-index order with duplicates dropped — the canonical
@@ -100,33 +102,37 @@ func Open(path, metaHash string) (*Journal, error) {
 		return j, nil
 	}
 
-	// Replay: header, then records until EOF or the first bad line.
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() {
+	// Replay: header, then records until EOF or the first bad line. A
+	// final line without its newline is torn even if its bytes parse.
+	r := bufio.NewReader(f)
+	header, err := r.ReadString('\n')
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("journal %s: missing header", path)
 	}
-	header := sc.Text()
+	header = header[:len(header)-1]
 	want := magic + " " + metaHash
 	if header != want {
 		f.Close()
 		return nil, fmt.Errorf("journal %s: header %q does not match this sweep (%q) — refusing to mix rows from a different collect", path, header, want)
 	}
 	goodBytes := int64(len(header) + 1)
-	for sc.Scan() {
-		line := sc.Text()
-		idx, sec, ok := parseRecord(line)
+	for {
+		line, err := r.ReadString('\n')
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("journal %s: %w", path, err)
+		}
+		idx, sec, ok := parseRecord(line[:len(line)-1])
 		if !ok {
 			break // torn or corrupt tail: truncate from here
 		}
 		j.known[idx] = sec
 		j.records++
-		goodBytes += int64(len(line) + 1)
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal %s: %w", path, err)
+		goodBytes += int64(len(line))
 	}
 	if goodBytes != fi.Size() {
 		if err := f.Truncate(goodBytes); err != nil {
@@ -147,37 +153,24 @@ func recordLine(idx int, sec float64) string {
 	return fmt.Sprintf("%s,%08x\n", body, crc32.ChecksumIEEE([]byte(body)))
 }
 
-// parseRecord decodes one "r,<idx>,<time>,<crc>" line, verifying the CRC.
+// parseRecord decodes one "r,<idx>,<time>,<crc>" line. Only the exact
+// bytes recordLine writes are accepted: a line must carry a matching CRC
+// and spell every field canonically, so each accepted line re-encodes to
+// itself.
 func parseRecord(line string) (idx int, sec float64, ok bool) {
-	body, crcHex, found := cutLast(line, ',')
-	if !found || !strings.HasPrefix(body, "r,") {
+	fields := strings.Split(line, ",")
+	if len(fields) != 4 || fields[0] != "r" {
 		return 0, 0, false
 	}
-	crc, err := strconv.ParseUint(crcHex, 16, 32)
-	if err != nil || crc32.ChecksumIEEE([]byte(body)) != uint32(crc) {
-		return 0, 0, false
-	}
-	fields := strings.Split(body, ",")
-	if len(fields) != 3 {
-		return 0, 0, false
-	}
-	idx, err = strconv.Atoi(fields[1])
+	idx, err := strconv.Atoi(fields[1])
 	if err != nil || idx < 0 {
 		return 0, 0, false
 	}
 	sec, err = strconv.ParseFloat(fields[2], 64)
-	if err != nil {
+	if err != nil || recordLine(idx, sec) != line+"\n" {
 		return 0, 0, false
 	}
 	return idx, sec, true
-}
-
-// cutLast splits s around the last occurrence of sep.
-func cutLast(s string, sep byte) (before, after string, found bool) {
-	if i := strings.LastIndexByte(s, sep); i >= 0 {
-		return s[:i], s[i+1:], true
-	}
-	return s, "", false
 }
 
 // Known reports row idx's journaled time — core.CollectHooks.Known's

@@ -180,10 +180,11 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
-// Quantile returns an upper-bound estimate of the q-quantile (0 <= q <= 1)
-// from the bucket counts: the bound of the bucket holding the q-th sample
-// (the exact max for the overflow bucket), clamped to [Min, Max] so an
-// estimate never leaves the observed range. Returns 0 when empty or nil.
+// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
+// counts: it finds the bucket holding rank q·n and interpolates linearly
+// across that bucket, from max(lower bound, Min) to min(upper bound,
+// Max), so an estimate never leaves the observed range. Quantile(0) is
+// Min and Quantile(1) is Max. Returns 0 when empty or nil.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
@@ -192,17 +193,23 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := math.Max(0, math.Min(1, q)) * float64(n)
 	lo, hi := h.Min(), h.Max()
 	var seen int64
-	for i := range h.bounds {
-		seen += h.counts[i].Load()
-		if seen >= rank {
-			return math.Min(math.Max(h.bounds[i], lo), hi)
+	for i := range h.counts {
+		c := h.counts[i].Load()
+		if c == 0 || float64(seen+c) < rank {
+			seen += c
+			continue
 		}
+		l, u := lo, hi
+		if i > 0 {
+			l = math.Max(h.bounds[i-1], lo)
+		}
+		if i < len(h.bounds) {
+			u = math.Min(h.bounds[i], hi)
+		}
+		return l + (u-l)*(rank-float64(seen))/float64(c)
 	}
 	return hi
 }

@@ -79,13 +79,17 @@ func TestHistogram(t *testing.T) {
 	if h.Min() != 0.5 || h.Max() != 500 {
 		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
 	}
-	// Rank 3 of 5 lands in the (1,10] bucket.
-	if got := h.Quantile(0.5); got != 10 {
-		t.Fatalf("p50 = %v, want 10", got)
+	// Rank 2.5 of 5 is three quarters of the way through the (1,10]
+	// bucket's two samples: 1 + 0.75·(10-1).
+	if got := h.Quantile(0.5); got != 7.75 {
+		t.Fatalf("p50 = %v, want 7.75", got)
 	}
-	// Rank 5 is in the overflow bucket, reported as the exact max.
-	if got := h.Quantile(0.99); got != 500 {
-		t.Fatalf("p99 = %v, want 500", got)
+	// Rank 4.95 is in the overflow bucket, which spans (100, Max].
+	if got, want := h.Quantile(0.99), 100+0.95*400; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("p99 = %v, want %v", got, want)
+	}
+	if h.Quantile(0) != 0.5 || h.Quantile(1) != 500 {
+		t.Fatalf("q0/q1 = %v/%v, want the min/max", h.Quantile(0), h.Quantile(1))
 	}
 	snap := h.snapshot()
 	var n int64
@@ -96,27 +100,32 @@ func TestHistogram(t *testing.T) {
 		t.Fatalf("snapshot bucket counts sum to %d", n)
 	}
 
-	// Every value sits below its bucket's bound: the bound-based estimate
-	// must clamp to the observed range, so no quantile exceeds the max
-	// (or undercuts the min).
+	// Every value sits below its bucket's bound: interpolation runs
+	// between the observed min and max, never out to the bucket bounds.
 	low := r.Histogram("low", []float64{1, 10, 100})
 	for _, v := range []float64{0.3, 0.5, 0.8047} {
 		low.Observe(v)
 	}
-	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		if got := low.Quantile(q); got != 0.8047 {
-			t.Fatalf("below-bound q%v = %v, want the max 0.8047", q, got)
+	prev := math.Inf(-1)
+	for _, q := range []float64{0, 0.25, 0.5, 0.95, 0.99, 1} {
+		got := low.Quantile(q)
+		if want := 0.3 + q*(0.8047-0.3); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("below-bound q%v = %v, want %v", q, got, want)
 		}
+		if got < prev {
+			t.Fatalf("q%v = %v below the previous quantile %v", q, got, prev)
+		}
+		prev = got
 	}
 	high := r.Histogram("high", []float64{1, 10, 100})
 	for _, v := range []float64{5, 6} {
 		high.Observe(v)
 	}
-	if got := high.Quantile(0.5); got != 6 {
-		t.Fatalf("p50 = %v, want the max 6", got)
+	if got := high.Quantile(0.5); got != 5.5 {
+		t.Fatalf("p50 = %v, want 5.5 (midway between min 5 and max 6)", got)
 	}
-	if s := low.snapshot(); s.P50 > s.Max || s.P99 > s.Max {
-		t.Fatalf("snapshot quantiles above max: %+v", s)
+	if s := low.snapshot(); s.P50 > s.Max || s.P99 > s.Max || s.P50 < s.Min {
+		t.Fatalf("snapshot quantiles outside [min, max]: %+v", s)
 	}
 }
 

@@ -1,12 +1,10 @@
 package tree
 
-// This file is the fast histogram split search: flat structure-of-arrays
-// bin statistics, sibling-histogram subtraction, and a feature-parallel
-// build. It is the default Grow path; Options.ExactHistograms (and
-// NoBatch) keep the reference per-node scan in tree.go alive for
-// equivalence tests and benchmarks. The contract between the two modes —
-// where they are bit-identical and where only a tolerance holds — is
-// DESIGN.md §13.
+// This file is Grow's split search: flat structure-of-arrays bin
+// statistics, sibling-histogram subtraction, and a feature-parallel
+// build. The plain exact grower it is checked against lives in
+// reference_test.go; the contract between the two — where they are
+// bit-identical and where only a tolerance holds — is DESIGN.md §13.
 
 import (
 	"math"
@@ -70,7 +68,7 @@ func (b *Builder) putHist(h *hist) { b.histPool.Put(h) }
 // block pos of h. Features are processed four at a time so each row's
 // index and target load feeds four independent accumulation chains; per
 // (feature, bin) slot the additions still happen in idx order, exactly
-// as in the reference scan, so directly-built histograms carry
+// as in a one-feature-at-a-time scan, so directly-built histograms carry
 // bit-identical sums.
 func (b *Builder) accumulate(h *hist, y []float64, idx []int, feats []int, pos int) {
 	// Bin codes are < maxBins by construction (at most maxBins-1 edges),
@@ -329,11 +327,10 @@ func recipTable(n int) []float64 {
 // bins, returning the winning position within feats (-1 if none) and the
 // winning split's left-side row count (so the caller's partition can
 // skip its counting pass). Features are visited in order and ties keep
-// the first maximum — the reference scan's tie-breaking rule. The score
-// uses table-lookup reciprocal multiplies (sL²·recip[nL] instead of
-// sL²/nL), which differ from the reference's divisions in the last
-// bits: gains agree with scanFeatures only within rounding tolerance,
-// part of the fast path's documented contract (DESIGN.md §13).
+// the first maximum. The score uses table-lookup reciprocal multiplies
+// (sL²·recip[nL] instead of sL²/nL), which differ from exact divisions
+// in the last bits: gains agree with the reference grower only within
+// rounding tolerance (DESIGN.md §13).
 func (b *Builder) scanHist(h *hist, feats []int, recip []float64, sumTot float64, nTot, minLeaf int) (gain float64, pos, bin, nLBest int) {
 	baseScore := sumTot * sumTot / float64(nTot)
 	pos, bin = -1, -1
@@ -388,7 +385,7 @@ const sparseScanMaxRows = 32
 // run of untouched bins, so the dense scan's first maximum always lands
 // on a touched bin (the all-untouched prefix has nL = 0 < minLeaf):
 // results are identical to scanning every bin. Like scanHist it scores
-// with reciprocal-table multiplies, so gains match the exact reference
+// with reciprocal-table multiplies, so gains match the reference grower
 // only within tolerance.
 func (b *Builder) scanFeaturesSparse(y []float64, idx []int, feats []int, recip []float64, sumTot float64, nTot, minLeaf int) (gain float64, pos, bin, nLBest int) {
 	baseScore := sumTot * sumTot / float64(nTot)
@@ -436,8 +433,8 @@ func (b *Builder) scanFeaturesSparse(y []float64, idx []int, feats []int, recip 
 
 // permInto fills m with exactly rand.Perm(len(m))'s output — same
 // values, same rng consumption — without allocating, so the sampled
-// fast path draws the same feature subsets, in the same rng sequence
-// position, as the exact reference.
+// sampled path draws the same feature subsets, in the same rng sequence
+// position, as a per-node rand.Perm would.
 func permInto(rng *rand.Rand, m []int) {
 	for i := range m {
 		j := rng.Intn(i + 1)
@@ -447,9 +444,8 @@ func permInto(rng *rand.Rand, m []int) {
 }
 
 // grower is one Grow call's split-finding state. It dispatches each
-// leaf's search to one of three paths:
+// leaf's search to one of two paths:
 //
-//   - exact: the reference bestSplit (Options.ExactHistograms/NoBatch);
 //   - subtract: no feature sampling — every expandable leaf retains its
 //     histogram, and each split builds only the smaller child's
 //     histogram directly, deriving the larger as parent − sibling;
@@ -463,7 +459,6 @@ type grower struct {
 	opt Options
 	rng *rand.Rand
 
-	exact    bool
 	subtract bool
 	feats    []int     // candidate features in subtract mode (all of them)
 	mtry     int       // sampled feature count in sampled mode
@@ -474,10 +469,6 @@ type grower struct {
 
 // init configures the grower for one Grow call over rootRows rows.
 func (g *grower) init(rootRows int) {
-	g.exact = g.opt.exact()
-	if g.exact {
-		return
-	}
 	g.recip = g.b.recip
 	if rootRows >= len(g.recip) {
 		// Bootstrap samples larger than the training matrix (possible via
@@ -500,29 +491,21 @@ func (g *grower) init(rootRows int) {
 func (g *grower) workers() int { return g.opt.Workers }
 
 func (g *grower) findRoot(lr *leafRec) {
-	switch {
-	case g.exact:
-		lr.gain, lr.feature, lr.bin = g.b.bestSplit(g.y, lr.idx, g.opt, g.rng)
-	case !g.subtract:
+	if !g.subtract {
 		g.findSampled(lr)
-	default:
-		if len(lr.idx) >= 2*g.opt.minLeaf() {
-			lr.h = g.b.getHist()
-			g.b.buildHist(lr.h, g.y, lr.idx, g.feats, g.workers())
-		}
-		g.scanLeaf(lr)
+		return
 	}
+	if len(lr.idx) >= 2*g.opt.minLeaf() {
+		lr.h = g.b.getHist()
+		g.b.buildHist(lr.h, g.y, lr.idx, g.feats, g.workers())
+	}
+	g.scanLeaf(lr)
 }
 
 // findChildren computes both children's best splits after parent was
-// expanded. In subtract mode this is where the tentpole saving lands:
+// expanded. In subtract mode this is where sibling subtraction pays off:
 // only the smaller child's rows are ever accumulated.
 func (g *grower) findChildren(parent, left, right *leafRec) {
-	if g.exact {
-		left.gain, left.feature, left.bin = g.b.bestSplit(g.y, left.idx, g.opt, g.rng)
-		right.gain, right.feature, right.bin = g.b.bestSplit(g.y, right.idx, g.opt, g.rng)
-		return
-	}
 	if !g.subtract {
 		g.findSampled(left)
 		g.findSampled(right)
@@ -580,9 +563,8 @@ func (g *grower) scanLeaf(lr *leafRec) {
 	lr.gain, lr.feature, lr.bin, lr.nl = gain, g.feats[pos], bin, nl
 }
 
-// findSampled is the per-node search with feature subsampling: same rng
-// consumption order as the exact reference (no draw below 2·minLeaf,
-// one permutation per scanned node), then a direct histogram build over
+// findSampled is the per-node search with feature subsampling: no rng
+// draw below 2·minLeaf, one permutation per scanned node, then a direct histogram build over
 // the sampled features only.
 func (g *grower) findSampled(lr *leafRec) {
 	nTot := len(lr.idx)
