@@ -48,27 +48,28 @@ type (
 func HadoopKMeans() HadoopJob   { return hadoopsim.KMeansJob() }
 func HadoopPageRank() HadoopJob { return hadoopsim.PageRankJob() }
 
-// NewHMTrainer returns the Hierarchical Modeling trainer — the paper's
+// NewHMTrainer returns the Hierarchical Modeling backend — the paper's
 // modeling technique. The zero Options select tc=5, lr=0.05, nt=3600.
-func NewHMTrainer(opt HMOptions) Trainer { return hm.Trainer{Opt: opt} }
+func NewHMTrainer(opt HMOptions) Backend { return hm.Backend{Opt: opt} }
 
-// NewRFTrainer returns the random-forest trainer (RFHOC's model).
-func NewRFTrainer(opt RFOptions) Trainer { return rf.Trainer{Opt: opt} }
+// NewRFTrainer returns the random-forest backend (RFHOC's model).
+func NewRFTrainer(opt RFOptions) Backend { return rf.Backend{Opt: opt} }
 
-// NewANNTrainer returns the artificial-neural-network baseline trainer.
-func NewANNTrainer(opt ANNOptions) Trainer { return ann.Trainer{Opt: opt} }
+// NewANNTrainer returns the artificial-neural-network baseline backend.
+func NewANNTrainer(opt ANNOptions) Backend { return ann.Backend{Opt: opt} }
 
-// NewSVMTrainer returns the support-vector-regression baseline trainer.
-func NewSVMTrainer(opt SVMOptions) Trainer { return svm.Trainer{Opt: opt} }
+// NewSVMTrainer returns the support-vector-regression baseline backend.
+func NewSVMTrainer(opt SVMOptions) Backend { return svm.Backend{Opt: opt} }
 
-// NewRSTrainer returns the response-surface baseline trainer.
-func NewRSTrainer(opt RSOptions) Trainer { return rs.Trainer{Opt: opt} }
+// NewRSTrainer returns the response-surface baseline backend.
+func NewRSTrainer(opt RSOptions) Backend { return rs.Backend{Opt: opt} }
 
 // Trainers returns the five modeling techniques the paper compares in
-// Fig. 9, in its order: RS, ANN, SVM, RF, HM.
-func Trainers() []Trainer {
-	return []Trainer{
-		rs.Trainer{}, ann.Trainer{}, svm.Trainer{}, rf.Trainer{}, hm.Trainer{},
+// Fig. 9, in its order: RS, ANN, SVM, RF, HM. Train each with a zero
+// TrainOpts to use its package defaults.
+func Trainers() []Backend {
+	return []Backend{
+		rs.Backend{}, ann.Backend{}, svm.Backend{}, rf.Backend{}, hm.Backend{},
 	}
 }
 
@@ -115,29 +116,29 @@ func GAMinimize(space *Space, obj SearchObjective, init [][]float64, opt GAOptio
 
 // RandomSearch evaluates budget random configurations.
 func RandomSearch(space *Space, obj SearchObjective, budget int, seed int64) SearchResult {
-	return search.Random(space, obj, budget, seed)
+	return search.Random{}.Search(space, obj, search.Options{Budget: budget, Seed: seed})
 }
 
 // RecursiveRandomSearch runs recursive random search [56].
 func RecursiveRandomSearch(space *Space, obj SearchObjective, budget int, seed int64) SearchResult {
-	return search.RecursiveRandom(space, obj, budget, seed)
+	return search.RecursiveRandom{}.Search(space, obj, search.Options{Budget: budget, Seed: seed})
 }
 
 // PatternSearch runs coordinate pattern search [46].
 func PatternSearch(space *Space, obj SearchObjective, budget int, seed int64) SearchResult {
-	return search.Pattern(space, obj, budget, seed)
+	return search.Pattern{}.Search(space, obj, search.Options{Budget: budget, Seed: seed})
 }
 
 // AnnealSearch runs simulated annealing (an additional ablation searcher).
 func AnnealSearch(space *Space, obj SearchObjective, budget int, seed int64) SearchResult {
-	return search.Anneal(space, obj, budget, seed)
+	return search.Anneal{}.Search(space, obj, search.Options{Budget: budget, Seed: seed})
 }
 
 // The pluggable search layer (DESIGN.md §16): every searcher — the GA,
 // the TPE Bayesian optimizer, and the ablations above — behind one
 // interface and a name-keyed registry. Options.Searcher on the tuner
-// routes the pipeline's search stage through any of them; nil keeps the
-// paper's GA byte-identically.
+// routes the pipeline's search stage through any of them; nil selects
+// the paper's GA configured by Options.GA.
 type (
 	// Searcher is the pluggable search-stage contract.
 	Searcher = search.Searcher

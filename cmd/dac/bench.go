@@ -285,8 +285,9 @@ func cmdBench(args []string) error {
 			}
 		},
 		func(b *testing.B) {
+			var out []sparksim.Result
 			for i := 0; i < b.N; i++ {
-				sim.RunBatch(&w.Program, specs)
+				out = sim.RunBatchInto(&w.Program, specs, out)
 			}
 		}))
 

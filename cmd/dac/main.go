@@ -178,7 +178,7 @@ func newTuner(w *workloads.Workload, ntrain int, seed int64, reg *obs.Registry) 
 	return &core.Tuner{
 		Space: conf.StandardSpace(),
 		// The batch executor lets the collector hand each worker's chunk
-		// to one sparksim.RunBatch call (bit-identical to per-job runs).
+		// to one sparksim.RunBatchInto call (bit-identical to per-job runs).
 		Exec: core.NewSimExecutor(sim, &w.Program),
 		Opt: core.Options{
 			NTrain: ntrain,
@@ -191,9 +191,9 @@ func newTuner(w *workloads.Workload, ntrain int, seed int64, reg *obs.Registry) 
 }
 
 // selectBackend validates -model and, for non-default choices, routes the
-// tuner's modeling stage through that backend. The hm default keeps the
-// tuner's built-in HM path — output stays byte-identical to a build
-// without the backend layer.
+// tuner's modeling stage through that backend. The hm default leaves
+// Options.Backend nil, which the tuner resolves to hm.Backend over the
+// -ntrain budget's HM options (the registered "hm" entry carries none).
 func selectBackend(t *core.Tuner, name string, reg *obs.Registry) error {
 	b, err := backends.Default().Lookup(name)
 	if err != nil {
@@ -211,8 +211,9 @@ func selectBackend(t *core.Tuner, name string, reg *obs.Registry) error {
 
 // selectSearcher validates -searcher and, for non-default choices,
 // routes the tuner's searching stage through that searcher. The ga
-// default keeps the tuner's built-in GA path — output stays
-// byte-identical to a build without the searcher layer.
+// default leaves Options.Searcher nil, which the tuner resolves to
+// search.GASearcher over the budget's GA options (the registered "ga"
+// entry carries none).
 func selectSearcher(t *core.Tuner, name string, reg *obs.Registry) error {
 	s, err := search.Default().Lookup(name)
 	if err != nil {

@@ -87,8 +87,12 @@ type (
 	SimExecutor = core.SimExecutor
 	// Model predicts execution time from configuration + datasize.
 	Model = model.Model
-	// Trainer fits a Model to collected data.
-	Trainer = model.Trainer
+	// Backend is one named modeling technique: Train fits a Model to
+	// collected data.
+	Backend = model.Backend
+	// TrainOpts carries the cross-backend training knobs; the zero value
+	// keeps each backend's own options.
+	TrainOpts = model.TrainOpts
 	// HMOptions are the Hierarchical Modeling hyperparameters.
 	HMOptions = hm.Options
 	// GAOptions are the genetic-algorithm hyperparameters.
@@ -128,7 +132,7 @@ func NewSimulator(cl Cluster, seed int64) *Simulator { return sparksim.New(cl, s
 // NewSimExecutor adapts a simulator and a program to the Executor
 // interface the tuning pipeline consumes. The returned executor also
 // implements BatchExecutor, so the collector batches each worker's chunk
-// through one sparksim.RunBatch call.
+// through one sparksim.RunBatchInto call.
 func NewSimExecutor(sim *Simulator, p *Program) *SimExecutor {
 	return core.NewSimExecutor(sim, p)
 }

@@ -126,14 +126,15 @@ func TestSamplersThroughFacade(t *testing.T) {
 }
 
 func TestTrainersThroughFacade(t *testing.T) {
-	trainers := dac.Trainers()
-	if len(trainers) != 5 {
-		t.Fatalf("got %d trainers", len(trainers))
+	backends := dac.Trainers()
+	if len(backends) != 5 {
+		t.Fatalf("got %d backends", len(backends))
 	}
-	want := []string{"RS", "ANN", "SVM", "RF", "HM"}
-	for i, tr := range trainers {
-		if tr.Name() != want[i] {
-			t.Errorf("trainer %d = %s, want %s", i, tr.Name(), want[i])
+	// Fig. 9's order.
+	want := []string{"rs", "ann", "svm", "rf", "hm"}
+	for i, b := range backends {
+		if b.Name() != want[i] {
+			t.Errorf("backend %d = %s, want %s", i, b.Name(), want[i])
 		}
 	}
 }

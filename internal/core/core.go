@@ -80,26 +80,23 @@ type Options struct {
 	NTrain int
 	// HM configures the performance model.
 	HM hm.Options
-	// Backend, when non-nil, replaces the HM modeling stage: the tuner
-	// trains through Backend.Train instead of hm.Train, with BackendTrain
-	// as the knobs. Nil keeps the paper's HM path, including its exact
-	// seed derivation — default-path output is byte-identical with or
-	// without the backend layer present.
+	// Backend selects the modeling technique: the tuner trains through
+	// Backend.Train with BackendTrain as the knobs. Nil selects the
+	// paper's HM, hm.Backend configured by HM (a zero HM.Seed is filled
+	// with Seed+1).
 	Backend model.Backend
 	// BackendTrain holds the cross-backend training knobs when Backend is
-	// set. A zero Seed is filled with Seed+1, mirroring the HM path.
+	// set. A zero Seed is filled with Seed+1, the slot HM uses.
 	BackendTrain model.TrainOpts
 	// GA configures the searcher.
 	GA ga.Options
-	// Searcher, when non-nil, replaces the GA searching stage: the tuner
-	// calls Searcher.Search with the candidate budget the GA options
-	// imply (PopSize×(Generations+1), so every searcher considers as
-	// many configurations as the paper's GA would), the same derived
-	// seed, the same training-set population seeds, and the same batch
-	// objective and genome cache. Nil keeps the paper's GA path,
-	// including its exact seed trajectory — default-path output is
-	// byte-identical with or without the searcher layer present
-	// (mirroring what Backend does for the modeling stage).
+	// Searcher selects the searching technique: the tuner calls
+	// Searcher.Search with the candidate budget the GA options imply
+	// (PopSize×(Generations+1), so every searcher considers as many
+	// configurations as the paper's GA would), the same derived seed,
+	// the same training-set population seeds, and the same batch
+	// objective and genome cache. Nil selects the paper's GA,
+	// search.GASearcher configured by GA.
 	Searcher search.Searcher
 	// Parallelism bounds concurrent executions while collecting
 	// (0 = GOMAXPROCS). The simulated cluster cost is unaffected.
@@ -148,14 +145,6 @@ type Tuner struct {
 	// their own Options carry one). Nil keeps every instrumented path on
 	// its zero-cost branch.
 	Obs *obs.Registry
-}
-
-// obsHM returns the HM options with the tuner's registry attached.
-func (t *Tuner) obsHM(o hm.Options) hm.Options {
-	if o.Obs == nil {
-		o.Obs = t.Obs
-	}
-	return o
 }
 
 // obsGA returns the GA options with the tuner's registry attached.
@@ -209,7 +198,8 @@ func (t *Tuner) Collect(sizesMB []float64) (*dataset.Set, Overhead, error) {
 	return t.CollectResumable(context.Background(), sizesMB, CollectHooks{})
 }
 
-// Model trains the HM performance model over the collected set.
+// Model trains the performance model (HM unless Options.Backend is set)
+// over the collected set.
 func (t *Tuner) Model(set *dataset.Set) (model.Model, Overhead, error) {
 	sp := t.Obs.StartSpan("model")
 	defer sp.End()
@@ -217,23 +207,36 @@ func (t *Tuner) Model(set *dataset.Set) (model.Model, Overhead, error) {
 }
 
 func (t *Tuner) model(set *dataset.Set) (model.Model, Overhead, error) {
-	opt := t.Opt.withDefaults()
-	if opt.Backend != nil {
-		trainOpt := opt.BackendTrain
-		if trainOpt.Seed == 0 {
-			trainOpt.Seed = opt.Seed + 1
-		}
-		if trainOpt.Obs == nil {
-			trainOpt.Obs = t.Obs
-		}
-		start := time.Now()
-		m, err := opt.Backend.Train(set.ToDataset(), trainOpt)
-		if err != nil {
-			return nil, Overhead{}, fmt.Errorf("core: training %s: %w", opt.Backend.Name(), err)
-		}
-		return m, Overhead{ModelTrainSec: time.Since(start).Seconds()}, nil
+	b, to := t.backend()
+	start := time.Now()
+	m, err := b.Train(set.ToDataset(), to)
+	if err != nil {
+		return nil, Overhead{}, fmt.Errorf("core: training %s: %w", b.Name(), err)
 	}
-	hmOpt := t.obsHM(opt.HM)
+	return m, Overhead{ModelTrainSec: time.Since(start).Seconds()}, nil
+}
+
+// backend resolves the modeling stage every training and warm-start
+// call goes through: Options.Backend with BackendTrain (a zero Seed
+// filled with Seed+1, the tuner's registry attached), or, when Backend
+// is nil, hm.Backend over Options.HM carrying those same defaults in its
+// own options, so an explicit HM.Seed wins.
+func (t *Tuner) backend() (model.Backend, model.TrainOpts) {
+	opt := t.Opt
+	if opt.Backend != nil {
+		to := opt.BackendTrain
+		if to.Seed == 0 {
+			to.Seed = opt.Seed + 1
+		}
+		if to.Obs == nil {
+			to.Obs = t.Obs
+		}
+		return opt.Backend, to
+	}
+	hmOpt := opt.HM
+	if hmOpt.Obs == nil {
+		hmOpt.Obs = t.Obs
+	}
 	if hmOpt.Seed == 0 {
 		hmOpt.Seed = opt.Seed + 1
 	}
@@ -247,17 +250,27 @@ func (t *Tuner) model(set *dataset.Set) (model.Model, Overhead, error) {
 			hmOpt.TargetAccuracy = 0.999 // unreachable: always recurse to MaxOrder
 		}
 	}
-	start := time.Now()
-	m, err := hm.Train(set.ToDataset(), hmOpt)
-	if err != nil {
-		return nil, Overhead{}, fmt.Errorf("core: training: %w", err)
-	}
-	return m, Overhead{ModelTrainSec: time.Since(start).Seconds()}, nil
+	return hm.Backend{Opt: hmOpt}, model.TrainOpts{}
 }
 
-// Search runs the GA over the trained model for one target dataset size
-// and returns the best configuration, its predicted time, and the GA
-// result (for convergence analysis, Fig. 11). seedConfs optionally seeds
+// searcher resolves the searching stage: Options.Searcher, or, when it
+// is nil, search.GASearcher over Options.GA. The per-call wiring (seed,
+// batch objective, genome cache) reaches either through runSearcher's
+// search.Options, so the GA's own copies are cleared here: a subspace
+// search must not inherit the full-space batch objective or cache.
+func (t *Tuner) searcher() search.Searcher {
+	if t.Opt.Searcher != nil {
+		return t.Opt.Searcher
+	}
+	g := t.Opt.GA
+	g.BatchObj, g.Cache = nil, nil
+	return search.GASearcher{Opt: g}
+}
+
+// Search runs the searcher (the GA unless Options.Searcher is set) over
+// the trained model for one target dataset size and returns the best
+// configuration, its predicted time, and the result in the GA's shape
+// (for convergence analysis, Fig. 11). seedConfs optionally seeds
 // the population, as the paper does with vectors from the training set.
 func (t *Tuner) Search(m model.Model, dsizeMB float64, seedConfs [][]float64) (conf.Config, float64, ga.Result, Overhead, error) {
 	sp := t.Obs.StartSpan("search")
@@ -347,12 +360,7 @@ func (t *Tuner) search(m model.Model, dsizeMB float64, seedConfs [][]float64) (c
 		gaOpt.BatchObj = batchObj
 	}
 	start := time.Now()
-	var res ga.Result
-	if opt.Searcher != nil {
-		res = runSearcher(opt.Searcher, t.Space, obj, seedConfs, gaOpt)
-	} else {
-		res = ga.Minimize(t.Space, obj, seedConfs, gaOpt)
-	}
+	res := runSearcher(t.searcher(), t.Space, obj, seedConfs, gaOpt)
 	elapsed := time.Since(start).Seconds()
 	cfg, err := t.Space.FromVector(res.Best)
 	if err != nil {
@@ -447,11 +455,10 @@ func (t *Tuner) tuneCollected(root *obs.Span, set *dataset.Set, ovC Overhead, ta
 	return out, nil
 }
 
-// runSearcher routes a search through a pluggable Searcher with the
-// candidate budget and wiring the GA options imply, and converts the
-// outcome back to the GA result shape the pipeline reports (Converged
-// recomputed with ga's 0.5%-of-final-best rule over the searcher's
-// round history).
+// runSearcher runs a search stage through s with the candidate budget
+// and wiring the GA options imply, and converts the outcome back to the
+// GA result shape the pipeline reports (Converged recomputed with ga's
+// 0.5%-of-final-best rule over the searcher's round history).
 func runSearcher(s search.Searcher, space *conf.Space, obj ga.Objective, init [][]float64, gaOpt ga.Options) ga.Result {
 	sres := s.Search(space, search.Objective(obj), search.Options{
 		Budget:   search.GABudget(gaOpt),
@@ -467,6 +474,7 @@ func runSearcher(s search.Searcher, space *conf.Space, obj ga.Objective, init []
 		BestFitness: sres.BestFitness,
 		History:     sres.History,
 		Evaluations: sres.Evaluations,
+		CacheHits:   sres.CacheHits,
 	}
 	for g, v := range res.History {
 		if v <= res.BestFitness*1.005+1e-12 {

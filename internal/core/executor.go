@@ -13,7 +13,7 @@ import (
 // sparksim.RunBatchInto call over pooled Result storage, so program
 // validation, the per-run scratch buffers, and the Result allocations are
 // paid once per chunk (or recycled across chunks) instead of once per
-// run. Both paths report identical times (RunBatch's bit-identity
+// run. Both paths report identical times (RunBatchInto's bit-identity
 // contract), so the collector may pick either without changing any
 // result.
 type SimExecutor struct {

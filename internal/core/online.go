@@ -12,7 +12,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/conf"
 	"repro/internal/dataset"
-	"repro/internal/ga"
 	"repro/internal/hm"
 	"repro/internal/model"
 	"repro/internal/sparksim"
@@ -430,42 +429,22 @@ func (t *Tuner) screenParams(m model.Model, k int) ([]string, []float64, error) 
 }
 
 // refitOnline refits the model on every accumulated observation:
-// warm-started through hm.Resume (or the backend's Resumer) when the
-// model supports it, from scratch otherwise. seed isolates each refit's
+// warm-started through the backend's Resumer (hm has one) when it
+// supports it, from scratch otherwise. seed isolates each refit's
 // randomness; deterministic in (model state, set, seed).
 func (t *Tuner) refitOnline(m model.Model, set *dataset.Set, seed int64, extra int) (model.Model, bool, float64, error) {
-	opt := t.Opt.withDefaults()
+	b, to := t.backend()
+	to.Seed = seed
 	ds := set.ToDataset()
 	start := time.Now()
-	if opt.Backend != nil {
-		to := opt.BackendTrain
-		to.Seed = seed
-		if to.Obs == nil {
-			to.Obs = t.Obs
-		}
-		if r, ok := opt.Backend.(model.Resumer); ok {
-			if err := r.Resume(m, ds, to, extra); err != nil {
-				return nil, false, 0, fmt.Errorf("core: online refit: %w", err)
-			}
-			t.Obs.Counter("core.online.warmstarts").Inc()
-			return m, true, time.Since(start).Seconds(), nil
-		}
-		nm, err := opt.Backend.Train(ds, to)
-		if err != nil {
-			return nil, false, 0, fmt.Errorf("core: online refit: %w", err)
-		}
-		return nm, false, time.Since(start).Seconds(), nil
-	}
-	hmOpt := t.obsHM(opt.HM)
-	hmOpt.Seed = seed
-	if hmModel, ok := m.(*hm.Model); ok {
-		if err := hm.Resume(hmModel, ds, hmOpt, extra); err != nil {
+	if r, ok := b.(model.Resumer); ok {
+		if err := r.Resume(m, ds, to, extra); err != nil {
 			return nil, false, 0, fmt.Errorf("core: online refit: %w", err)
 		}
 		t.Obs.Counter("core.online.warmstarts").Inc()
-		return hmModel, true, time.Since(start).Seconds(), nil
+		return m, true, time.Since(start).Seconds(), nil
 	}
-	nm, err := hm.Train(ds, hmOpt)
+	nm, err := b.Train(ds, to)
 	if err != nil {
 		return nil, false, 0, fmt.Errorf("core: online refit: %w", err)
 	}
@@ -480,7 +459,7 @@ type onlineSearch struct {
 	sec      float64
 }
 
-// searchSubspace runs the GA over the screened subspace against m at
+// searchSubspace runs the searcher over the screened subspace against m at
 // dsizeMB, with guard-rejected genomes penalized out of contention. The
 // population is seeded from the subspace projections of the best
 // observed rows. Genome caches are never shared with full-space
@@ -508,12 +487,7 @@ func (t *Tuner) searchSubspace(m model.Model, ss *conf.SubSpace, set *dataset.Se
 		return m.Predict(x)
 	}
 	start := time.Now()
-	var res ga.Result
-	if opt.Searcher != nil {
-		res = runSearcher(opt.Searcher, ss.Tunable, obj, subspaceSeeds(ss, set), gaOpt)
-	} else {
-		res = ga.Minimize(ss.Tunable, obj, subspaceSeeds(ss, set), gaOpt)
-	}
+	res := runSearcher(t.searcher(), ss.Tunable, obj, subspaceSeeds(ss, set), gaOpt)
 	elapsed := time.Since(start).Seconds()
 	if res.BestFitness >= guardPenalty {
 		return onlineSearch{}, fmt.Errorf("core: the safety guard rejected every candidate in the screened subspace")

@@ -83,7 +83,7 @@ func Searchers(sc Scale, abbrs []string) []SearcherOutcome {
 			Evals:        make(map[string]int, len(names)),
 		}
 		for _, name := range names {
-			t.Opt.Searcher = nil // "ga" takes the built-in default path
+			t.Opt.Searcher = nil // "ga" resolves to GASearcher over sc.GA
 			if name != "ga" {
 				s, err := reg.Lookup(name)
 				if err != nil {

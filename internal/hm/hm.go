@@ -510,14 +510,3 @@ func solve(A [][]float64, b []float64) ([]float64, bool) {
 	}
 	return x, true
 }
-
-// Trainer adapts Train to the model.Trainer interface.
-type Trainer struct{ Opt Options }
-
-// Name implements model.Trainer.
-func (Trainer) Name() string { return "HM" }
-
-// Train implements model.Trainer.
-func (t Trainer) Train(ds *model.Dataset) (model.Model, error) {
-	return Train(ds, t.Opt)
-}

@@ -194,16 +194,26 @@ func TestSolve(t *testing.T) {
 	}
 }
 
+// TestTrainerInterface checks the package through the model.Backend
+// contract: a zero TrainOpts trains exactly the model a direct Train
+// call with the backend's Options builds.
 func TestTrainerInterface(t *testing.T) {
-	var tr model.Trainer = Trainer{Opt: quickOpt()}
-	if tr.Name() != "HM" {
+	var tr model.Backend = Backend{Opt: quickOpt()}
+	if tr.Name() != "hm" {
 		t.Errorf("Name = %q", tr.Name())
 	}
-	m, err := tr.Train(synthDS(200, 15))
+	ds := synthDS(200, 15)
+	m, err := tr.Train(ds, model.TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Predict([]float64{1, 2, 3}) <= 0 {
-		t.Error("trainer-built model predicts non-positive time")
+	direct, err := Train(ds, quickOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range ds.Features {
+		if got, want := m.Predict(x), direct.Predict(x); got != want || got <= 0 {
+			t.Fatalf("row %d: backend predicts %v, direct Train %v", i, got, want)
+		}
 	}
 }

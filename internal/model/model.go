@@ -1,5 +1,5 @@
 // Package model defines the shared contract between DAC's performance
-// models: datasets of performance vectors (Eq. 5), the Model/Trainer
+// models: datasets of performance vectors (Eq. 5), the Model and Backend
 // interfaces, the paper's prediction-error metric (Eq. 2), and the
 // standardization and resampling helpers the learners share.
 package model
@@ -42,15 +42,6 @@ func PredictBatch(m Model, X [][]float64, out []float64) {
 	for i, x := range X {
 		out[i] = m.Predict(x)
 	}
-}
-
-// Trainer fits a Model to a dataset. Implementations live in
-// internal/{hm,rf,ann,svm,rs}.
-type Trainer interface {
-	// Name identifies the technique ("HM", "RF", "ANN", "SVM", "RS").
-	Name() string
-	// Train fits a model; it must not retain ds's slices.
-	Train(ds *Dataset) (Model, error)
 }
 
 // Dataset is a design matrix of performance vectors: row i holds the

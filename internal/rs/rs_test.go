@@ -91,12 +91,26 @@ func TestCholSolve(t *testing.T) {
 	}
 }
 
+// TestTrainerInterface checks the package through the model.Backend
+// contract: a zero TrainOpts trains exactly the model a direct Train
+// call with the backend's Options builds.
 func TestTrainerInterface(t *testing.T) {
-	var tr model.Trainer = Trainer{}
-	if tr.Name() != "RS" {
+	var tr model.Backend = Backend{Opt: Options{}}
+	if tr.Name() != "rs" {
 		t.Errorf("Name = %q", tr.Name())
 	}
-	if _, err := tr.Train(synthDS(100, 8)); err != nil {
+	ds := synthDS(100, 8)
+	m, err := tr.Train(ds, model.TrainOpts{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	direct, err := Train(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range ds.Features {
+		if got, want := m.Predict(x), direct.Predict(x); got != want || got <= 0 {
+			t.Fatalf("row %d: backend predicts %v, direct Train %v", i, got, want)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/conf"
-	"repro/internal/obs"
 )
 
 // Anneal implements simulated annealing over the configuration space: a
@@ -14,9 +13,17 @@ import (
 // completes the ablation set around the paper's GA choice (§3.3): like
 // recursive random search it escapes local optima stochastically, but with
 // a tunable acceptance temperature rather than restarts.
-func Anneal(space *conf.Space, obj Objective, budget int, seed int64, reg ...*obs.Registry) Result {
-	obj = track(reg, "anneal", obj)
-	rng := rand.New(rand.NewSource(seed))
+type Anneal struct{}
+
+// Name implements Searcher.
+func (Anneal) Name() string { return "anneal" }
+
+// Search implements Searcher.
+func (Anneal) Search(space *conf.Space, obj Objective, opt Options) Result {
+	sp := opt.Obs.StartSpan("search.anneal")
+	defer sp.End()
+	budget := opt.Budget
+	rng := rand.New(rand.NewSource(opt.Seed))
 	d := space.Len()
 
 	cur := space.Random(rng).Vector()
@@ -50,5 +57,6 @@ func Anneal(space *conf.Space, obj Objective, budget int, seed int64, reg ...*ob
 		}
 		temp *= cooling
 	}
+	opt.Obs.Counter("search.anneal.evaluations").Add(int64(res.Evaluations))
 	return res
 }

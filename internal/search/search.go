@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"repro/internal/conf"
-	"repro/internal/obs"
 )
 
 // Objective maps an encoded configuration vector to the quantity being
@@ -30,43 +29,43 @@ type Result struct {
 	Best        []float64
 	BestFitness float64
 	Evaluations int
+	// CacheHits counts candidate scores served by the genome cache (or
+	// by an identical candidate earlier in the same batch) instead of an
+	// objective call; 0 for searchers that do not memoize.
+	CacheHits int
 	// History records the best fitness after each round (generation,
 	// batch) for searchers that proceed in rounds; nil for the
 	// single-sweep searchers.
 	History []float64
 }
 
-// CountEvals wraps obj so every evaluation increments the named counter
-// in reg ("search.<name>.evaluations"). With a nil registry the wrapper
-// degenerates to a nil-counter increment, so it is always safe to apply.
-func CountEvals(reg *obs.Registry, name string, obj Objective) Objective {
-	c := reg.Counter("search." + name + ".evaluations")
-	return func(x []float64) float64 {
-		c.Inc()
-		return obj(x)
+// workerCount resolves Options.Workers: 0 selects min(GOMAXPROCS, NumCPU),
+// the default ga, hm and rf use.
+func workerCount(n int) int {
+	if n > 0 {
+		return n
 	}
+	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 }
 
-// track instruments obj when a registry was passed through a searcher's
-// optional trailing argument.
-func track(reg []*obs.Registry, name string, obj Objective) Objective {
-	if len(reg) == 0 || reg[0] == nil {
-		return obj
-	}
-	return CountEvals(reg[0], name, obj)
-}
-
-// Random evaluates budget uniformly random configurations and keeps the
-// best — the naive baseline every model-guided searcher must beat. An
-// optional registry counts its objective evaluations.
+// Random evaluates Budget uniformly random configurations and keeps the
+// best — the naive baseline every model-guided searcher must beat.
 //
-// The candidate stream is drawn serially (so it depends only on seed),
-// evaluation fans out over GOMAXPROCS workers on disjoint chunks, and the
-// winner is picked by a serial first-minimum scan — the result is
-// bit-identical to the sequential loop for any scheduling.
-func Random(space *conf.Space, obj Objective, budget int, seed int64, reg ...*obs.Registry) Result {
-	obj = track(reg, "random", obj)
-	rng := rand.New(rand.NewSource(seed))
+// The candidate stream is drawn serially (so it depends only on Seed),
+// evaluation fans out over Options.Workers goroutines on disjoint
+// chunks, and the winner is picked by a serial first-minimum scan — the
+// result is bit-identical to the sequential loop for any worker count.
+type Random struct{}
+
+// Name implements Searcher.
+func (Random) Name() string { return "random" }
+
+// Search implements Searcher.
+func (Random) Search(space *conf.Space, obj Objective, opt Options) Result {
+	sp := opt.Obs.StartSpan("search.random")
+	defer sp.End()
+	budget := opt.Budget
+	rng := rand.New(rand.NewSource(opt.Seed))
 	res := Result{BestFitness: math.Inf(1)}
 	if budget <= 0 {
 		return res
@@ -76,7 +75,7 @@ func Random(space *conf.Space, obj Objective, budget int, seed int64, reg ...*ob
 		X[i] = space.Random(rng).Vector()
 	}
 	fs := make([]float64, budget)
-	if w := min(runtime.GOMAXPROCS(0), budget); w <= 1 {
+	if w := min(workerCount(opt.Workers), budget); w <= 1 {
 		for i, x := range X {
 			fs[i] = obj(x)
 		}
@@ -95,6 +94,7 @@ func Random(space *conf.Space, obj Objective, budget int, seed int64, reg ...*ob
 		wg.Wait()
 	}
 	res.Evaluations = budget
+	opt.Obs.Counter("search.random.evaluations").Add(int64(budget))
 	for i, f := range fs {
 		if f < res.BestFitness {
 			res.BestFitness = f
@@ -108,9 +108,17 @@ func Random(space *conf.Space, obj Objective, budget int, seed int64, reg ...*ob
 // then repeatedly re-sample inside a shrinking box around the incumbent,
 // restarting globally when a region is exhausted. The paper notes its
 // sensitivity to local optima — visible in the ablation bench.
-func RecursiveRandom(space *conf.Space, obj Objective, budget int, seed int64, reg ...*obs.Registry) Result {
-	obj = track(reg, "rrs", obj)
-	rng := rand.New(rand.NewSource(seed))
+type RecursiveRandom struct{}
+
+// Name implements Searcher.
+func (RecursiveRandom) Name() string { return "rrs" }
+
+// Search implements Searcher.
+func (RecursiveRandom) Search(space *conf.Space, obj Objective, opt Options) Result {
+	sp := opt.Obs.StartSpan("search.rrs")
+	defer sp.End()
+	budget := opt.Budget
+	rng := rand.New(rand.NewSource(opt.Seed))
 	d := space.Len()
 	res := Result{BestFitness: math.Inf(1)}
 
@@ -164,6 +172,7 @@ func RecursiveRandom(space *conf.Space, obj Objective, budget int, seed int64, r
 			}
 		}
 	}
+	opt.Obs.Counter("search.rrs.evaluations").Add(int64(res.Evaluations))
 	return res
 }
 
@@ -171,9 +180,17 @@ func RecursiveRandom(space *conf.Space, obj Objective, budget int, seed int64, r
 // ± a step along each axis from the incumbent, halving the step on
 // failure. Its slow local convergence on this space is the paper's reason
 // to prefer GA.
-func Pattern(space *conf.Space, obj Objective, budget int, seed int64, reg ...*obs.Registry) Result {
-	obj = track(reg, "pattern", obj)
-	rng := rand.New(rand.NewSource(seed))
+type Pattern struct{}
+
+// Name implements Searcher.
+func (Pattern) Name() string { return "pattern" }
+
+// Search implements Searcher.
+func (Pattern) Search(space *conf.Space, obj Objective, opt Options) Result {
+	sp := opt.Obs.StartSpan("search.pattern")
+	defer sp.End()
+	budget := opt.Budget
+	rng := rand.New(rand.NewSource(opt.Seed))
 	d := space.Len()
 	x := space.Random(rng).Vector()
 	fx := obj(x)
@@ -211,5 +228,6 @@ func Pattern(space *conf.Space, obj Objective, budget int, seed int64, reg ...*o
 			scale /= 2
 		}
 	}
+	opt.Obs.Counter("search.pattern.evaluations").Add(int64(res.Evaluations))
 	return res
 }

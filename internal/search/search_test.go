@@ -26,7 +26,7 @@ func sphere(space *conf.Space) Objective {
 
 func TestRandomRespectsBudget(t *testing.T) {
 	space := conf.StandardSpace()
-	res := Random(space, sphere(space), 100, 1)
+	res := Random{}.Search(space, sphere(space), Options{Budget: 100, Seed: 1})
 	if res.Evaluations != 100 {
 		t.Fatalf("Evaluations = %d, want 100", res.Evaluations)
 	}
@@ -39,8 +39,8 @@ func TestRecursiveRandomBeatsPlainRandom(t *testing.T) {
 	space := conf.StandardSpace()
 	obj := sphere(space)
 	budget := 600
-	rr := RecursiveRandom(space, obj, budget, 1)
-	plain := Random(space, obj, budget, 1)
+	rr := RecursiveRandom{}.Search(space, obj, Options{Budget: budget, Seed: 1})
+	plain := Random{}.Search(space, obj, Options{Budget: budget, Seed: 1})
 	if rr.Evaluations > budget {
 		t.Fatalf("RRS overspent: %d > %d", rr.Evaluations, budget)
 	}
@@ -54,8 +54,8 @@ func TestRecursiveRandomBeatsPlainRandom(t *testing.T) {
 func TestPatternConvergesOnSmoothObjective(t *testing.T) {
 	space := conf.StandardSpace()
 	obj := sphere(space)
-	res := Pattern(space, obj, 3000, 1)
-	plain := Random(space, obj, 3000, 1)
+	res := Pattern{}.Search(space, obj, Options{Budget: 3000, Seed: 1})
+	plain := Random{}.Search(space, obj, Options{Budget: 3000, Seed: 1})
 	if res.BestFitness >= plain.BestFitness {
 		t.Fatalf("pattern search %.5f not better than random %.5f",
 			res.BestFitness, plain.BestFitness)
@@ -65,8 +65,8 @@ func TestPatternConvergesOnSmoothObjective(t *testing.T) {
 func TestAnnealImprovesOverStart(t *testing.T) {
 	space := conf.StandardSpace()
 	obj := sphere(space)
-	res := Anneal(space, obj, 2000, 1)
-	plain := Random(space, obj, 2000, 1)
+	res := Anneal{}.Search(space, obj, Options{Budget: 2000, Seed: 1})
+	plain := Random{}.Search(space, obj, Options{Budget: 2000, Seed: 1})
 	if res.BestFitness >= plain.BestFitness {
 		t.Fatalf("annealing %.5f not better than random %.5f on a smooth objective",
 			res.BestFitness, plain.BestFitness)
@@ -80,10 +80,10 @@ func TestAllSearchersReturnLegalVectors(t *testing.T) {
 	space := conf.StandardSpace()
 	obj := sphere(space)
 	for name, res := range map[string]Result{
-		"random":  Random(space, obj, 50, 2),
-		"rrs":     RecursiveRandom(space, obj, 50, 2),
-		"pattern": Pattern(space, obj, 50, 2),
-		"anneal":  Anneal(space, obj, 50, 2),
+		"random":  Random{}.Search(space, obj, Options{Budget: 50, Seed: 2}),
+		"rrs":     RecursiveRandom{}.Search(space, obj, Options{Budget: 50, Seed: 2}),
+		"pattern": Pattern{}.Search(space, obj, Options{Budget: 50, Seed: 2}),
+		"anneal":  Anneal{}.Search(space, obj, Options{Budget: 50, Seed: 2}),
 	} {
 		if len(res.Best) != space.Len() {
 			t.Errorf("%s: best has %d genes", name, len(res.Best))
@@ -101,16 +101,10 @@ func TestAllSearchersReturnLegalVectors(t *testing.T) {
 func TestDeterministicPerSeed(t *testing.T) {
 	space := conf.StandardSpace()
 	obj := sphere(space)
-	if Random(space, obj, 40, 7).BestFitness != Random(space, obj, 40, 7).BestFitness {
-		t.Error("Random differs across identical seeds")
-	}
-	if RecursiveRandom(space, obj, 40, 7).BestFitness != RecursiveRandom(space, obj, 40, 7).BestFitness {
-		t.Error("RecursiveRandom differs across identical seeds")
-	}
-	if Pattern(space, obj, 40, 7).BestFitness != Pattern(space, obj, 40, 7).BestFitness {
-		t.Error("Pattern differs across identical seeds")
-	}
-	if Anneal(space, obj, 40, 7).BestFitness != Anneal(space, obj, 40, 7).BestFitness {
-		t.Error("Anneal differs across identical seeds")
+	opt := Options{Budget: 40, Seed: 7}
+	for _, s := range []Searcher{Random{}, RecursiveRandom{}, Pattern{}, Anneal{}} {
+		if s.Search(space, obj, opt).BestFitness != s.Search(space, obj, opt).BestFitness {
+			t.Errorf("%s differs across identical seeds", s.Name())
+		}
 	}
 }

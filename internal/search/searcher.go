@@ -41,8 +41,8 @@ type Options struct {
 	// model.BatchPredictor contract). Searchers that evaluate candidates
 	// one at a time ignore it.
 	BatchObj BatchObjective
-	// Workers bounds concurrent objective evaluation (0 = GOMAXPROCS).
-	// The result is identical for any value.
+	// Workers bounds concurrent objective evaluation (0 = min(GOMAXPROCS,
+	// NumCPU)). The result is identical for any value.
 	Workers int
 	// Cache, when non-nil, shares memoized fitness values between
 	// searches of the identical objective (the daemon's idempotent
@@ -115,10 +115,10 @@ func (r *Registry) Names() []string {
 // so callers can't perturb each other.
 func Default() *Registry {
 	r, err := NewRegistry(
-		funcSearcher{"random", Random},
-		funcSearcher{"rrs", RecursiveRandom},
-		funcSearcher{"pattern", Pattern},
-		funcSearcher{"anneal", Anneal},
+		Random{},
+		RecursiveRandom{},
+		Pattern{},
+		Anneal{},
 		GASearcher{},
 		&TPE{},
 	)
@@ -126,23 +126,6 @@ func Default() *Registry {
 		panic("search: invalid built-in registry: " + err.Error())
 	}
 	return r
-}
-
-// funcSearcher adapts the package's free searcher functions to the
-// Searcher interface. The free functions take their whole budget as
-// objective evaluations and ignore Init/BatchObj/Cache (Random
-// parallelizes internally; the others are inherently sequential).
-type funcSearcher struct {
-	name string
-	fn   func(space *conf.Space, obj Objective, budget int, seed int64, reg ...*obs.Registry) Result
-}
-
-func (f funcSearcher) Name() string { return f.name }
-
-func (f funcSearcher) Search(space *conf.Space, obj Objective, opt Options) Result {
-	sp := opt.Obs.StartSpan("search." + f.name)
-	defer sp.End()
-	return f.fn(space, obj, opt.Budget, opt.Seed, opt.Obs)
 }
 
 // GASearcher wraps ga.Minimize as a registered Searcher. Opt carries the
@@ -212,5 +195,6 @@ func (g GASearcher) Search(space *conf.Space, obj Objective, opt Options) Result
 		BestFitness: res.BestFitness,
 		History:     res.History,
 		Evaluations: res.Evaluations,
+		CacheHits:   res.CacheHits,
 	}
 }

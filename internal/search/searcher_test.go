@@ -26,17 +26,25 @@ func TestRegistryLookupUnknown(t *testing.T) {
 	}
 }
 
+// renamed registers a searcher under another name.
+type renamed struct {
+	Searcher
+	name string
+}
+
+func (r renamed) Name() string { return r.name }
+
 func TestNewRegistryRejectsBadNames(t *testing.T) {
-	if _, err := NewRegistry(funcSearcher{"random", Random}, funcSearcher{"random", Random}); err == nil {
+	if _, err := NewRegistry(Random{}, renamed{Pattern{}, "random"}); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if _, err := NewRegistry(funcSearcher{"", Random}); err == nil {
+	if _, err := NewRegistry(renamed{Random{}, ""}); err == nil {
 		t.Error("empty name accepted")
 	}
 }
 
-// TestAllRegisteredSearchersReturnLegalVectors extends the free-function
-// legality test to the registry: every searcher reachable by name must
+// TestAllRegisteredSearchersReturnLegalVectors extends the ablation
+// searchers' legality test to the registry: every searcher reachable by name must
 // return a full-length vector with every gene inside its parameter's
 // range, and must report at least one real evaluation.
 func TestAllRegisteredSearchersReturnLegalVectors(t *testing.T) {
@@ -138,7 +146,7 @@ func TestTPEBeatsRandomAtEqualBudget(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	for _, seed := range seeds {
 		tpe := (&TPE{}).Search(space, obj, Options{Budget: budget, Seed: seed})
-		rnd := Random(space, obj, budget, seed)
+		rnd := Random{}.Search(space, obj, Options{Budget: budget, Seed: seed})
 		if tpe.Evaluations > budget {
 			t.Fatalf("seed %d: TPE overspent: %d > %d", seed, tpe.Evaluations, budget)
 		}
@@ -214,5 +222,28 @@ func TestTPECacheInvariance(t *testing.T) {
 	if warm.Evaluations > cold.Evaluations {
 		t.Errorf("warm run made more real evaluations (%d) than cold (%d)",
 			warm.Evaluations, cold.Evaluations)
+	}
+}
+
+// TestTPEReportsCacheHits pins TPE's cache accounting against ga's:
+// every candidate considered is either a real evaluation or a cache hit
+// (a shared-cache replay or an identical candidate earlier in its
+// batch). Re-running the same search over one cache serves the second
+// run from the cache without changing its result.
+func TestTPEReportsCacheHits(t *testing.T) {
+	space := conf.StandardSpace()
+	obj := sphere(space)
+	opt := Options{Budget: 200, Seed: 5, Cache: ga.NewGenomeCache()}
+	first := (&TPE{}).Search(space, obj, opt)
+	second := (&TPE{}).Search(space, obj, opt)
+	if second.CacheHits == 0 {
+		t.Fatal("second search over a warm cache reported no cache hits")
+	}
+	if got, want := second.Evaluations+second.CacheHits, first.Evaluations+first.CacheHits; got != want {
+		t.Errorf("second run considered %d candidates, first %d", got, want)
+	}
+	if !reflect.DeepEqual(first.Best, second.Best) || first.BestFitness != second.BestFitness ||
+		!reflect.DeepEqual(first.History, second.History) {
+		t.Error("cache-served run returned a different result")
 	}
 }

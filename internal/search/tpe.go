@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -121,10 +120,7 @@ func (t *TPE) Search(space *conf.Space, obj Objective, opt Options) Result {
 		}
 		return string(keyBuf)
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = min(runtime.GOMAXPROCS(0), runtime.NumCPU())
-	}
+	workers := workerCount(opt.Workers)
 
 	// The observation history the densities are fit to.
 	xs := make([][]float64, 0, opt.Budget)
@@ -145,10 +141,12 @@ func (t *TPE) Search(space *conf.Space, obj Objective, opt Options) Result {
 			k := keyOf(x)
 			if v, ok := cache.Lookup(k); ok {
 				fitX[i] = v
+				res.CacheHits++
 				continue
 			}
 			if j, ok := seen[k]; ok {
 				rows[j] = append(rows[j], i)
+				res.CacheHits++
 				continue
 			}
 			seen[k] = len(uniq)

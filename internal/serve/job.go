@@ -721,10 +721,11 @@ func (m *Manager) tunerFor(w *workloads.Workload, spec JobSpec) *core.Tuner {
 		Seed:        seed,
 	}
 	if name := spec.backend(); name != "hm" {
-		// Route the modeling stage through the selected backend; the hm
-		// default keeps the tuner's built-in path (bit-identical to the
-		// CLI). Seed stays zero so the tuner derives it as Seed+1, the
-		// same slot the hm path uses.
+		// Route the modeling stage through the selected backend. The hm
+		// default stays nil: the tuner resolves nil to hm.Backend over
+		// the job's HM budget, which the registered "hm" entry lacks.
+		// Seed stays zero so the tuner derives it as Seed+1, the same
+		// slot HM uses.
 		b, err := m.models.Backends().Lookup(name)
 		if err == nil { // unknown names were rejected at Submit
 			opt.Backend = b
@@ -732,10 +733,10 @@ func (m *Manager) tunerFor(w *workloads.Workload, spec JobSpec) *core.Tuner {
 		}
 	}
 	if name := spec.searcher(); name != "ga" {
-		// Route the searching stage through the selected searcher; the ga
-		// default keeps the tuner's built-in GA path (bit-identical to
-		// the CLI). The seed slot (Seed+2) and training-set population
-		// seeds are shared by every searcher.
+		// Route the searching stage through the selected searcher. The
+		// ga default stays nil: the tuner resolves nil to GASearcher over
+		// the job's GA budget. The seed slot (Seed+2) and training-set
+		// population seeds are shared by every searcher.
 		s, err := search.Default().Lookup(name)
 		if err == nil { // unknown names were rejected at Submit
 			opt.Searcher = s
